@@ -760,8 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-batching",
         dest="batching",
         action="store_false",
-        help="disable per-shard op batching (strict one-op-per-"
-        "transaction execution)",
+        help="same as --batch-max 1: one-op waves, each its own "
+        "transaction",
     )
     g.add_argument(
         "--batch-max",

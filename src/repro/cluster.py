@@ -16,8 +16,7 @@ and tests can reach inside (``cluster.representative("A")``,
 :class:`ClusterSpec` is the one construction path: every option,
 including which transport the cluster runs on (``transport="sim"`` /
 ``"asyncio"`` / a :class:`~repro.net.transport.Transport` instance),
-lives on the spec.  ``create(config, **kwargs)`` survives as a
-deprecated shim over the spec.  A spec can also point at an *existing*
+lives on the spec.  A spec can also point at an *existing*
 :class:`Network`, which is how the sharded directory (:mod:`repro.shard`)
 places many independent replica suites on one simulated substrate.
 """
@@ -25,7 +24,6 @@ places many independent replica suites on one simulated substrate.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable
 
@@ -171,10 +169,26 @@ class ClusterSpec:
         )
 
 
-#: ClusterSpec field names accepted by the ``create`` keyword shim.
+#: ClusterSpec field names, listed when a keyword option is refused.
 _SPEC_FIELDS = frozenset(
     f.name for f in fields(ClusterSpec) if f.name != "config"
 )
+
+
+def reject_options(options: "dict[str, Any]") -> None:
+    """Refuse cluster options passed as keywords instead of in a spec."""
+    if not options:
+        return
+    unknown = set(options) - _SPEC_FIELDS
+    if unknown:
+        raise TypeError(
+            f"unknown cluster option(s) {sorted(unknown)}; "
+            f"valid: {sorted(_SPEC_FIELDS)}"
+        )
+    raise TypeError(
+        "pass options inside the ClusterSpec, not as keywords: "
+        f"{sorted(options)}"
+    )
 
 
 class DirectoryCluster:
@@ -236,34 +250,11 @@ class DirectoryCluster:
             DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=7))
             DirectoryCluster.create("3-2-2")
 
-        Passing :class:`ClusterSpec` fields as keywords is the legacy
-        knob shim; it still works but emits a ``DeprecationWarning`` —
-        put the options inside a ``ClusterSpec``.
+        Options go inside the spec: keywords raise ``TypeError``.
         """
-        if isinstance(spec, ClusterSpec):
-            if options:
-                raise TypeError(
-                    "pass options inside the ClusterSpec, not as keywords: "
-                    f"{sorted(options)}"
-                )
-            return cls._create(spec)
-        unknown = set(options) - _SPEC_FIELDS
-        if unknown:
-            raise TypeError(
-                f"unknown cluster option(s) {sorted(unknown)}; "
-                f"valid: {sorted(_SPEC_FIELDS)}"
-            )
-        if options:
-            warnings.warn(
-                f"{cls.__name__}.create(config, **options) is deprecated; "
-                f"pass {cls.__name__}.create(ClusterSpec(config=..., ...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return cls._create(ClusterSpec(config=spec, **options))
-
-    @classmethod
-    def _create(cls, spec: ClusterSpec) -> "DirectoryCluster":
+        reject_options(options)
+        if not isinstance(spec, ClusterSpec):
+            spec = ClusterSpec(config=spec)
         config = spec.suite_config()
         try:
             store_factory = STORE_FACTORIES[spec.store]

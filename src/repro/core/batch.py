@@ -1,22 +1,22 @@
 """Grouped quorum rounds: many directory operations, one transaction.
 
-The per-shard front door (:mod:`repro.service.server`) used to pay a
-full multi-round quorum transaction per client operation — a read-quorum
-lookup, a write-quorum install, and a two-phase commit, each a separate
-RPC round trip, all for one key.  A shard that drains its queue in
-*waves* can do much better: every operation in the wave shares one
-transaction, one read-quorum selection, one write-quorum selection, and
-one 2PC round — the Keyspace-style group commit, with the scatter-gather
-engine (PR 4) making each shared round cost max-not-sum.
-
-:func:`execute_batch` is that engine.  It accepts a wave of
-:class:`BatchOp` items (``lookup`` / ``insert`` / ``update`` /
-``upsert`` — deletes coalesce gaps via neighbor walks and stay on the
-unbatched path) and returns one :class:`BatchOutcome` per op, in order,
-with the paper's per-op error contract intact: an ``insert`` of a
-present key still yields :class:`KeyAlreadyPresentError`, an ``update``
-of an absent key :class:`KeyNotPresentError` — as *outcomes*, never by
-poisoning the neighbours in the same wave.
+The per-shard front door (:mod:`repro.service.server`) drains each
+shard's queue in *waves* and hands every wave to :func:`execute_batch`,
+its one way onto the shard.  A run of two or more consecutive
+``lookup`` / ``insert`` / ``update`` / ``upsert`` ops in a wave shares
+one transaction, one read-quorum selection, one write-quorum selection,
+and one 2PC round — the Keyspace-style group commit, with the
+scatter-gather engine making each shared round cost max-not-sum —
+instead of paying a read round, a write round and a 2PC per op.
+Every other op runs through the suite's public per-op method: a lone
+groupable op, so an unpipelined client sees the classic path, and every
+``delete`` / ``remove``, whose gap-coalescing neighbour walk reads keys
+the wave's shared snapshot does not cover.  One :class:`BatchOutcome`
+comes back per op, in order, with the paper's per-op error contract
+intact: an ``insert`` of a present key still yields
+:class:`KeyAlreadyPresentError`, an ``update`` of an absent key
+:class:`KeyNotPresentError` — as *outcomes*, never by poisoning the
+neighbours in the same wave.
 
 Equivalence with sequential execution is exact, not approximate:
 
@@ -40,11 +40,13 @@ Equivalence with sequential execution is exact, not approximate:
 * the wave's range locks are held to the single commit point, so the
   transaction is serializable as the whole sequence at once.
 
-Availability failures are all-or-nothing per wave: the shared
+Availability failures are all-or-nothing per grouped run: the shared
 transaction aborts cleanly (no partial effects — that is what 2PC is
-for), and the wave falls back to executing each op individually so
+for), and the run falls back to executing each op individually so
 ``-UNAVAILABLE`` surfaces per op rather than failing the neighbours
-(counted on ``suite.batch.fallbacks``).
+(counted on ``suite.batch.fallbacks``).  The ``suite.batch.*`` metrics
+count grouped runs only; ops that take the per-op path show up in the
+plain ``suite.ops`` counts.
 """
 
 from __future__ import annotations
@@ -58,20 +60,23 @@ from repro.core.errors import (
     KeyNotPresentError,
     NetworkError,
     QuorumUnavailableError,
-    ReproError,
     TransactionError,
 )
 from repro.obs.spans import NULL_SPAN
 
-#: Operation kinds :func:`execute_batch` accepts.  ``delete`` is absent
-#: by design: its gap-coalescing neighbour walk reads keys the wave's
-#: shared snapshot does not cover, so it runs unbatched.
+#: Operation kinds that group: a run of two or more of them in a wave
+#: shares one transaction.
 BATCH_KINDS = ("lookup", "insert", "update", "upsert")
+
+#: Every kind :func:`execute_batch` accepts.  ``delete`` and ``remove``
+#: (delete-if-present) never group: Delete's gap-coalescing neighbour
+#: walk reads keys the wave's shared snapshot does not cover.
+OP_KINDS = BATCH_KINDS + ("delete", "remove")
 
 
 @dataclass(frozen=True, slots=True)
 class BatchOp:
-    """One operation inside a wave: ``kind`` ∈ :data:`BATCH_KINDS`."""
+    """One operation inside a wave: ``kind`` ∈ :data:`OP_KINDS`."""
 
     kind: str
     key: Any
@@ -84,13 +89,14 @@ class BatchOutcome:
 
     ``error`` carries the same exception the sequential public method
     would have raised (:class:`KeyAlreadyPresentError`,
-    :class:`KeyNotPresentError`, or an availability error from the
-    per-op fallback path); :meth:`unwrap` re-raises it.
+    :class:`KeyNotPresentError`, an availability error from the per-op
+    path, or whatever else that op alone raised); :meth:`unwrap`
+    re-raises it.
     """
 
     op: BatchOp
     value: Any = None
-    error: "ReproError | None" = None
+    error: "Exception | None" = None
 
     @property
     def ok(self) -> bool:
@@ -113,21 +119,40 @@ class _Counts:
 
 
 def execute_batch(suite: Any, ops: Any) -> "list[BatchOutcome]":
-    """Run a wave of ops as one grouped transaction; outcomes in order.
+    """Run one drained wave of ops; outcomes in order.
 
-    See the module docstring for the equivalence argument.  On an
-    availability failure the shared transaction aborts (leaving no
-    partial effects) and every op re-executes individually, so per-op
+    Each run of two or more consecutive :data:`BATCH_KINDS` ops executes
+    as one grouped transaction (see the module docstring for the
+    equivalence argument).  Every other op — a lone groupable op, a
+    ``delete``, a ``remove`` — runs through the suite's public per-op
+    method, so an unpipelined client sees exactly the classic path.  On
+    an availability failure a grouped transaction aborts (leaving no
+    partial effects) and its ops re-execute individually, so per-op
     error results survive even a mid-wave quorum loss.
     """
     ops = [op if isinstance(op, BatchOp) else BatchOp(*op) for op in ops]
     for op in ops:
-        if op.kind not in BATCH_KINDS:
+        if op.kind not in OP_KINDS:
             raise ValueError(
-                f"unbatchable op kind {op.kind!r} (want one of {BATCH_KINDS})"
+                f"unbatchable op kind {op.kind!r} (want one of {OP_KINDS})"
             )
-    if not ops:
-        return []
+    outcomes: "list[BatchOutcome]" = []
+    i = 0
+    while i < len(ops):
+        j = i
+        while j < len(ops) and ops[j].kind in BATCH_KINDS:
+            j += 1
+        if j - i >= 2:
+            outcomes.extend(_grouped_run(suite, ops[i:j]))
+            i = j
+        else:
+            outcomes.append(_single(suite, ops[i]))
+            i += 1
+    return outcomes
+
+
+def _grouped_run(suite: Any, ops: "list[BatchOp]") -> "list[BatchOutcome]":
+    """One grouped transaction for a run of groupable ops."""
     bkeys = [suite._user_key(op.key) for op in ops]
     suite._batch_size.add(len(ops))
     suite._batch_ops.inc(len(ops))
@@ -213,32 +238,15 @@ def _grouped_read(
 
     Sends a single ``rep_lookup_many`` message per member of a *single*
     read quorum (R messages total, regardless of wave size — the
-    section 4 batching optimization; serial fan-out degrades to one
-    call per member), merges per key by highest version — the Figure 8
-    rule — and returns the mutable fold state
+    section 4 batching optimization), merges per key by highest
+    version — the Figure 8 rule — and returns the mutable fold state
     ``{bkey: [present, version, value]}``.
     """
     quorum = suite._collect_quorum("read")
     best: dict[Any, LookupReply | None] = {bkey: None for bkey in keys}
-    if suite.fanout == "serial":
-        member_replies = [
-            suite._call(txn, rep, "rep_lookup_many", txn.txn_id, list(keys))
-            for rep in quorum
-        ]
-    else:
-        calls = [
-            suite._rep_call(
-                txn,
-                rep,
-                "rep_lookup_many",
-                (list(keys),),
-                payload_items=len(keys),
-            )
-            for rep in quorum
-        ]
-        member_replies = suite._gather_all(
-            suite._scatter(txn, calls, "rep_lookup_many")
-        )
+    member_replies = suite._round(
+        txn, quorum, "rep_lookup_many", (keys,), payload_items=len(keys)
+    )
     for replies in member_replies:
         for bkey, reply in zip(keys, replies):
             if reply.beats(best[bkey]):
@@ -261,27 +269,17 @@ def _grouped_write(
     single shared 2PC round is a true group commit.
     """
     quorum = suite._collect_quorum("write")
-    if suite.fanout == "serial":
-        for rep in quorum:
-            suite._call(
-                txn, rep, "rep_insert_many", txn.txn_id, list(rows)
-            )
-    else:
-        calls = [
-            suite._rep_call(
-                txn,
-                rep,
-                "rep_insert_many",
-                (list(rows),),
-                payload_items=len(rows),
-            )
-            for rep in quorum
-        ]
-        suite._gather_all(suite._scatter(txn, calls, "rep_insert_many"))
+    suite._round(
+        txn, quorum, "rep_insert_many", (rows,), payload_items=len(rows)
+    )
 
 
 def _single(suite: Any, op: BatchOp) -> BatchOutcome:
-    """Fallback: one op through the plain public path, error captured."""
+    """One op through the plain public path, its error captured.
+
+    Any exception becomes the op's own outcome, so one failing op never
+    fails its wave neighbours.
+    """
     outcome = BatchOutcome(op)
     try:
         if op.kind == "lookup":
@@ -290,11 +288,20 @@ def _single(suite: Any, op: BatchOp) -> BatchOutcome:
             suite.insert(op.key, op.value)
         elif op.kind == "update":
             suite.update(op.key, op.value)
-        else:  # upsert — the same closure SET runs on the shard thread
+        elif op.kind == "upsert":
             try:
                 suite.insert(op.key, op.value)
             except KeyAlreadyPresentError:
                 suite.update(op.key, op.value)
-    except ReproError as exc:
+        elif op.kind == "delete":
+            suite.delete(op.key)
+        else:  # remove: delete-if-present, 1 if it was there
+            try:
+                suite.delete(op.key)
+            except KeyNotPresentError:
+                outcome.value = 0
+            else:
+                outcome.value = 1
+    except Exception as exc:
         outcome.error = exc
     return outcome

@@ -378,7 +378,7 @@ class DirectorySuite:
                     cursor = neighbor.key
 
     def execute_batch(self, ops: Any) -> "list[Any]":
-        """Run a wave of ops as one grouped quorum transaction.
+        """Run a wave of ops, grouping runs into shared transactions.
 
         ``ops`` is an iterable of :class:`repro.core.batch.BatchOp` (or
         ``(kind, key[, value])`` tuples); returns one
@@ -537,6 +537,31 @@ class DirectorySuite:
             key=rep,
         )
 
+    def _round(
+        self, txn: Transaction, members: list[str], method: str,
+        args: tuple, payload_items: int = 1,
+    ) -> list[Any]:
+        """One quorum round: ``method(txn_id, *args)`` on every member.
+
+        Serial fan-out issues the calls one member at a time, in member
+        order; parallel and hedged fan-out scatter them as one batch and
+        wait for all of it.  Returns the replies in member order; the
+        first failure in member order is raised.  An empty round sends
+        nothing.
+        """
+        if not members:
+            return []
+        if self.fanout == "serial":
+            return [
+                self._call(txn, rep, method, txn.txn_id, *args)
+                for rep in members
+            ]
+        calls = [
+            self._rep_call(txn, rep, method, args, payload_items)
+            for rep in members
+        ]
+        return self._gather_all(self._scatter(txn, calls, method))
+
     def _scatter(
         self, txn: Transaction, calls: list[RpcCall], label: str
     ) -> RpcBatch:
@@ -582,18 +607,15 @@ class DirectorySuite:
     def _gather_read(
         self, txn: Transaction, batch: RpcBatch
     ) -> list[RpcReply]:
-        """Gather a read round; hedged mode returns on first-R-sufficient.
+        """Gather a hedged read round on its first R-sufficient replies.
 
-        Returns the replies actually waited on.  In hedged mode the
-        clock stops at the earliest vote-sufficient prefix; the ticks
-        not spent waiting for stragglers are credited to
-        ``straggler_ticks_saved`` and the transaction's
-        ``straggler_deadline`` is pushed out so commit/abort settles the
-        outstanding exchanges (see :meth:`_await_stragglers`).
+        Returns the replies actually waited on.  The clock stops at the
+        earliest vote-sufficient prefix; the ticks not spent waiting for
+        stragglers are credited to ``straggler_ticks_saved`` and the
+        transaction's ``straggler_deadline`` is pushed out so
+        commit/abort settles the outstanding exchanges (see
+        :meth:`_await_stragglers`).
         """
-        if self.fanout != "hedged":
-            self._gather_all(batch)
-            return list(batch.replies)
         waited, sufficient = batch.complete_first(
             self.config.read_quorum,
             lambda reply: self.config.votes[reply.call.key],
@@ -661,23 +683,22 @@ class DirectorySuite:
         quorum, so which sufficient subset answers first is immaterial).
         """
         quorum = self._collect_quorum("read")
-        replies: dict[str, LookupReply] = {}
-        if self.fanout == "serial":
-            for rep in quorum:
-                replies[rep] = self._call(
-                    txn, rep, "rep_lookup", txn.txn_id, key
-                )
-        else:
-            members = list(quorum)
-            if self.fanout == "hedged":
-                members += self._hedge_extras(quorum)
+        replies: dict[str, LookupReply]
+        if self.fanout == "hedged":
+            members = list(quorum) + self._hedge_extras(quorum)
             batch = self._scatter(
                 txn,
                 [self._rep_call(txn, rep, "rep_lookup", (key,)) for rep in members],
                 "rep_lookup",
             )
-            for reply in self._gather_read(txn, batch):
-                replies[reply.call.key] = reply.value
+            replies = {
+                reply.call.key: reply.value
+                for reply in self._gather_read(txn, batch)
+            }
+        else:
+            replies = dict(
+                zip(quorum, self._round(txn, quorum, "rep_lookup", (key,)))
+            )
         best: LookupReply | None = None
         for reply in replies.values():
             if reply.beats(best):
@@ -704,27 +725,8 @@ class DirectorySuite:
             rep for rep, reply in replies.items()
             if reply.version < best.version
         ]
-        if self.fanout == "serial":
-            for rep in stale:
-                self._call(
-                    txn,
-                    rep,
-                    "rep_insert",
-                    txn.txn_id,
-                    key,
-                    best.version,
-                    best.value,
-                )
-                self.repairs_performed += 1
-        elif stale:
-            calls = [
-                self._rep_call(
-                    txn, rep, "rep_insert", (key, best.version, best.value)
-                )
-                for rep in stale
-            ]
-            self._gather_all(self._scatter(txn, calls, "rep_insert"))
-            self.repairs_performed += len(stale)
+        self._round(txn, stale, "rep_insert", (key, best.version, best.value))
+        self.repairs_performed += len(stale)
 
     # ------------------------------------------------------------------
     # Figure 9: DirSuiteInsert (and DirSuiteUpdate, its analog)
@@ -751,18 +753,8 @@ class DirectorySuite:
             raise KeyNotPresentError(key.payload)
         quorum = self._collect_quorum("write")
         version = self.version_space.successor(reply.version)
-        if self.fanout == "serial":
-            for rep in quorum:
-                self._call(
-                    txn, rep, "rep_insert", txn.txn_id, key, version, value
-                )
-        else:
-            # Writes always wait on the full quorum: W votes must land.
-            calls = [
-                self._rep_call(txn, rep, "rep_insert", (key, version, value))
-                for rep in quorum
-            ]
-            self._gather_all(self._scatter(txn, calls, "rep_insert"))
+        # Writes always wait on the full quorum: W votes must land.
+        self._round(txn, quorum, "rep_insert", (key, version, value))
 
     # ------------------------------------------------------------------
     # Figure 12: RealPredecessor / RealSuccessor
@@ -938,35 +930,9 @@ class DirectorySuite:
         new_gap_version = self.version_space.successor(version)
         per_rep_coalesced: list[int] = []
         ghost_deletions = 0
-        if self.fanout == "serial":
-            results = [
-                self._call(
-                    txn,
-                    rep,
-                    "rep_coalesce",
-                    txn.txn_id,
-                    pred.key,
-                    succ.key,
-                    new_gap_version,
-                )
-                for rep in quorum
-            ]
-        else:
-            results = self._gather_all(
-                self._scatter(
-                    txn,
-                    [
-                        self._rep_call(
-                            txn,
-                            rep,
-                            "rep_coalesce",
-                            (pred.key, succ.key, new_gap_version),
-                        )
-                        for rep in quorum
-                    ],
-                    "rep_coalesce",
-                )
-            )
+        results = self._round(
+            txn, quorum, "rep_coalesce", (pred.key, succ.key, new_gap_version)
+        )
         for result in results:
             per_rep_coalesced.append(len(result.removed.entries))
             ghost_deletions += sum(

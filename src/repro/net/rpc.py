@@ -103,16 +103,21 @@ class RpcBatch:
     arrival times computed — but the shared clock has not moved; one of
     the ``complete_*`` methods must be called exactly once to advance it
     to the arrival of the slowest member the caller actually waits on.
+
+    The asyncio endpoint returns the same class over its wall clock:
+    there every member has really resolved before the batch exists, so
+    each arrival is an instant already reached and ``advance_to`` is a
+    no-op — the gathers only select which replies the caller waits on.
     """
 
     def __init__(
         self,
-        endpoint: "RpcEndpoint",
+        clock: Any,
         replies: list[RpcReply],
         span: Any,
         started: float,
     ) -> None:
-        self.endpoint = endpoint
+        self.clock = clock
         self.replies = replies
         self.span = span  # the open ``fanout:`` span (NULL_SPAN untraced)
         self.started = started
@@ -171,8 +176,9 @@ class RpcBatch:
         return self._finish(list(self.replies), hedged=True), False
 
     def _finish(self, waited: list[RpcReply], hedged: bool) -> list[RpcReply]:
-        clock = self.endpoint.network.clock
-        clock.advance_to(max((r.arrival for r in waited), default=self.started))
+        self.clock.advance_to(
+            max((r.arrival for r in waited), default=self.started)
+        )
         self.waited = waited
         if self.span is not NULL_SPAN:
             self.span.set("waited_on", len(waited))
@@ -337,7 +343,7 @@ class RpcEndpoint:
         else:
             span = NULL_SPAN
         replies = [self._simulate_member(call, started, traced) for call in calls]
-        return RpcBatch(self, replies, span, started)
+        return RpcBatch(self.network.clock, replies, span, started)
 
     def _simulate_member(
         self, call: RpcCall, started: float, traced: bool

@@ -45,7 +45,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.errors import (
     NetworkError,
@@ -54,9 +54,9 @@ from repro.core.errors import (
     RpcTimeoutError,
 )
 from repro.net.node import CrashAware
-from repro.net.rpc import RpcCall, RpcReply
+from repro.net.rpc import RpcBatch, RpcCall, RpcReply
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import NULL_TRACER
+from repro.obs.spans import NULL_SPAN, NULL_TRACER
 from repro.service import protocol, wire
 
 
@@ -82,9 +82,10 @@ class WallClock:
         return self.now()
 
     def advance_to(self, when: float) -> float:
-        # Hedged-gather straggler deadlines are wall instants already
-        # reached by the time the caller waits on them; a future instant
-        # is waited out for real.
+        # Scatter arrivals and hedged-gather straggler deadlines are wall
+        # instants already reached by the time the caller waits on them,
+        # so those calls are no-ops; a future instant is waited out for
+        # real.
         remaining = when - self.now()
         if remaining > 0:
             time.sleep(min(remaining, 1.0))
@@ -413,54 +414,6 @@ class AsyncioTransport:
         return wire.decode_value(wire.load(reply))
 
 
-class _AsyncioBatch:
-    """A completed scatter round over the asyncio transport.
-
-    All members were issued concurrently and have already resolved by
-    the time the batch is returned (the wall-clock analogue of the
-    simulator's eager member simulation); the ``complete_*`` gathers
-    just select which replies the caller waits on.
-    """
-
-    def __init__(self, replies: list[RpcReply], started: float) -> None:
-        self.replies = replies
-        self.started = started
-        self.waited: list[RpcReply] = []
-
-    @property
-    def width(self) -> int:
-        return len(self.replies)
-
-    @property
-    def lock_deadline(self) -> float:
-        return max(
-            (r.arrival for r in self.replies if r.effect_applied),
-            default=self.started,
-        )
-
-    def complete_all(self) -> list[RpcReply]:
-        self.waited = list(self.replies)
-        return self.waited
-
-    def complete_first(
-        self, target: int, weight_of: Callable[[RpcReply], int]
-    ) -> tuple[list[RpcReply], bool]:
-        ranked = sorted(
-            (r for r in self.replies if r.ok),
-            key=lambda r: (r.arrival, self.replies.index(r)),
-        )
-        waited: list[RpcReply] = []
-        got = 0
-        for reply in ranked:
-            waited.append(reply)
-            got += weight_of(reply)
-            if got >= target:
-                self.waited = waited
-                return waited, True
-        self.waited = list(self.replies)
-        return self.waited, False
-
-
 class AsyncioEndpoint:
     """The ``RpcEndpoint`` calling surface, marshalled onto the loop.
 
@@ -544,7 +497,7 @@ class AsyncioEndpoint:
 
     def scatter(
         self, calls: list[RpcCall], label: str | None = None
-    ) -> _AsyncioBatch:
+    ) -> RpcBatch:
         self._check_origin()
         clock = self.transport.clock
         started = clock.now()
@@ -560,7 +513,7 @@ class AsyncioEndpoint:
                 timeout=(self.transport.rpc_timeout + 30.0)
                 * (1 + max((c.retries for c in calls), default=0))
             )
-        return _AsyncioBatch(replies, started)
+        return RpcBatch(clock, replies, NULL_SPAN, started)
 
     async def _member(self, reply: RpcReply, clock: WallClock) -> None:
         """One scatter member's attempt chain, entirely on the loop."""

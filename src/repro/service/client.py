@@ -430,8 +430,7 @@ class AsyncDirectoryClient:
     # -- the Directory surface ----------------------------------------------
 
     async def lookup(self, key: str) -> tuple[bool, Any]:
-        present, value = await self._keyed("LOOKUP", key)
-        return (present == "1", value)
+        return _decode_lookup(await self._keyed("LOOKUP", key))
 
     async def insert(self, key: str, value: str) -> None:
         await self._keyed("INSERT", key, value)
@@ -457,7 +456,7 @@ class AsyncDirectoryClient:
         await self._keyed("SET", key, value)
 
     async def remove(self, key: str) -> bool:
-        return await self._keyed("DEL", key) == 1
+        return _decode_count(await self._keyed("DEL", key))
 
     async def shards(self) -> int:
         return await self._request("SHARDS")
@@ -512,45 +511,21 @@ class AsyncDirectoryClient:
         await self.close()
 
 
-class Pipeline:
+class Pipeline(AsyncPipeline):
     """The blocking face of :class:`AsyncPipeline`.
 
-    Obtained from :meth:`DirectoryClient.pipeline`.  Queueing methods
-    are identical (and still perform no I/O); :meth:`flush` runs the
-    burst on the client's private event loop.  Exiting the ``with``
-    block cleanly flushes implicitly.
+    Obtained from :meth:`DirectoryClient.pipeline`.  The queueing
+    methods are inherited (and still perform no I/O); :meth:`flush`
+    runs the burst on the client's private event loop.  Exiting the
+    ``with`` block cleanly flushes implicitly.
     """
 
     def __init__(self, client: "DirectoryClient") -> None:
-        self._client = client
-        self._inner = AsyncPipeline(client._inner)
+        super().__init__(client._inner)
+        self._run = client._run
 
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    def lookup(self, key: str) -> PipelineResult:
-        return self._inner.lookup(key)
-
-    def insert(self, key: str, value: str) -> PipelineResult:
-        return self._inner.insert(key, value)
-
-    def update(self, key: str, value: str) -> PipelineResult:
-        return self._inner.update(key, value)
-
-    def delete(self, key: str) -> PipelineResult:
-        return self._inner.delete(key)
-
-    def get(self, key: str) -> PipelineResult:
-        return self._inner.get(key)
-
-    def set(self, key: str, value: str) -> PipelineResult:
-        return self._inner.set(key, value)
-
-    def remove(self, key: str) -> PipelineResult:
-        return self._inner.remove(key)
-
-    def flush(self) -> "list[PipelineResult]":
-        return self._client._run(self._inner.flush())
+    def flush(self) -> "list[PipelineResult]":  # type: ignore[override]
+        return self._run(super().flush())
 
     def __enter__(self) -> "Pipeline":
         return self

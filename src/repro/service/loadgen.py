@@ -2,9 +2,8 @@
 
 One construction path — :class:`LoadSpec`, mirroring
 :class:`~repro.cluster.ClusterSpec` — consolidates every knob the
-``repro load`` CLI, the benchmarks, and the CI smoke jobs used to pass
-as loose keywords (the kwargs form of :func:`run_load` still works but
-emits a ``DeprecationWarning``).
+``repro load`` CLI, the benchmarks, and the CI smoke jobs pass to
+:func:`run_load`.
 
 **Closed loop** (the default): ``connections`` concurrent sockets (one
 :class:`~repro.service.client.AsyncDirectoryClient` each) drive a keyed
@@ -52,7 +51,6 @@ import asyncio
 import dataclasses
 import random
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -133,10 +131,8 @@ class LoadSpec:
         return (self.rate,) if self.rate is not None else ()
 
 
-#: LoadSpec fields accepted by the deprecated kwargs form of run_load.
-_SPEC_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(LoadSpec) if f.name not in ("host", "port")
-)
+#: LoadSpec field names, listed when a keyword option is refused.
+_SPEC_FIELDS = frozenset(f.name for f in dataclasses.fields(LoadSpec))
 
 
 def _percentile(ordered: "list[float]", q: float) -> float:
@@ -429,9 +425,8 @@ async def _open_loop(spec: LoadSpec) -> dict[str, Any]:
 
 
 def run_load(
-    spec: "LoadSpec | str" = "127.0.0.1",
-    port: "int | None" = None,
-    *,
+    spec: LoadSpec,
+    *extra: Any,
     bench_dir: "str | None" = None,
     **options: Any,
 ) -> dict[str, Any]:
@@ -441,32 +436,21 @@ def run_load(
 
         run_load(LoadSpec(host=host, port=port, ops=50_000, pipeline=16))
 
-    Passing ``host, port`` positionally with loose keywords is the
-    legacy shim; it still works but emits a ``DeprecationWarning``.
-    With ``bench_dir`` set, also writes ``BENCH_<name>.json`` there and
-    records the path under ``result["bench_path"]``.
+    Options go inside the spec: a host string in its place, a port or
+    loose keywords beside it raise ``TypeError``.  With ``bench_dir``
+    set, also writes ``BENCH_<name>.json`` there and records the path
+    under ``result["bench_path"]``.
     """
-    if isinstance(spec, LoadSpec):
-        if port is not None or options:
-            raise TypeError(
-                "pass options inside the LoadSpec, not as keywords: "
-                f"{sorted(options) if options else ['port']}"
-            )
-    else:
+    if extra or options or not isinstance(spec, LoadSpec):
         unknown = set(options) - _SPEC_FIELDS
         if unknown:
             raise TypeError(
                 f"unknown load option(s) {sorted(unknown)}; "
                 f"valid: {sorted(_SPEC_FIELDS)}"
             )
-        warnings.warn(
-            "run_load(host, port, **options) is deprecated; "
-            "pass run_load(LoadSpec(host=..., port=..., ...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = LoadSpec(
-            host=spec, port=7379 if port is None else port, **options
+        raise TypeError(
+            "pass options inside the LoadSpec, not beside it: "
+            "run_load(LoadSpec(host=..., port=..., ...))"
         )
     if spec.open_loop:
         result = asyncio.run(_open_loop(spec))

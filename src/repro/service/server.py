@@ -57,29 +57,34 @@ per-connection replier writes the replies back strictly in request
 order, so a client may keep many requests in flight on one socket and
 still parse replies positionally.  The quorum algorithm underneath is
 synchronous and per-shard stateful, so each shard keeps a dedicated
-single-worker executor thread; in front of it sits a *batching queue*
-(:class:`_ShardBatcher`): concurrent same-shard operations accumulate
-while the worker is busy and drain in waves, each wave's run of
-batchable ops (``LOOKUP``/``GET``/``INSERT``/``UPDATE``/``SET``)
-executing as **one** grouped quorum transaction
-(:meth:`~repro.core.suite.DirectorySuite.execute_batch` — shared quorum
-selection, one 2PC group commit, per-op error results preserved).
-Arrival order is preserved item by item, so two pipelined ops on the
-same key observe each other exactly as they would have unbatched;
-``DELETE``/``DEL`` and a wave's solitary ops run the classic one-op
-path, byte-identical to the previous release.  Distinct shards proceed
-in parallel; ``batching=False`` restores the strict per-op executor.
+single-worker executor thread, and the only way a keyed op reaches it
+is the *wave queue* in front of it (:class:`_ShardBatcher`).  Each of
+the seven keyed verbs is described once, in :data:`_VERBS` — usage,
+wave kind, reply encoder — and one handler serves them all.
+Concurrent same-shard ops accumulate while the worker is busy and
+drain in waves of up to ``batch_max``; each wave goes whole to
+:meth:`~repro.core.suite.DirectorySuite.execute_batch`, which runs every
+run of two or more groupable ops (``LOOKUP``/``GET``/``INSERT``/
+``UPDATE``/``SET``) as **one** grouped quorum transaction (shared
+quorum selection, one 2PC group commit, per-op error results preserved)
+and every other op — ``DELETE``/``DEL`` and a wave's solitary ops —
+through the classic one-op path.  Arrival order is preserved item by
+item, so two pipelined ops on the same key observe each other exactly
+as they would have one at a time.  Distinct shards proceed in parallel.
+``batching=False`` is only another way to write ``batch_max=1``: every
+wave then holds one op, which always takes the one-op path.
 
 Live telemetry (:class:`ServiceTelemetry`, on by default) instruments
-that per-shard thread: every keyed operation runs inside a
-``service:<VERB>`` root span recorded by a bounded per-shard
-:class:`~repro.obs.spans.RingTracer` (also bound into the shard's suite
-and RPC endpoint, so the full op/quorum/rpc/commit tree nests beneath
-it), feeds a rolling latency window, a space-saving hot-key sketch, and
-a slow-op ring, and bumps the directory's ``shard.routed`` counter —
-which is what makes the ``STATS`` windowed rates meaningful in service
-mode.  All of it is answered from the loop thread without touching the
-shard threads.
+that per-shard thread: every drained wave runs inside one root span
+recorded by a bounded per-shard :class:`~repro.obs.spans.RingTracer` —
+``service:<VERB>`` with the op's key for a one-op wave,
+``service:BATCH`` for a larger one — which is also bound into the
+shard's suite and RPC endpoint, so the full op/quorum/rpc/commit tree
+nests beneath it.  Each wave feeds a rolling latency window and a
+slow-op ring; every op is offered to a space-saving hot-key sketch and
+bumps the directory's ``shard.routed`` counter — which is what makes
+the ``STATS`` windowed rates meaningful in service mode.  All of it is
+answered from the loop thread without touching the shard threads.
 """
 
 from __future__ import annotations
@@ -89,9 +94,9 @@ import json
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
-from repro.core.batch import BatchOp
+from repro.core.batch import BatchOp, BatchOutcome
 from repro.core.errors import (
     KeyAlreadyPresentError,
     KeyNotPresentError,
@@ -112,8 +117,8 @@ class _ShardTelemetry:
 
     Installing it rebinds the shard suite's tracer and its RPC
     endpoint's tracer to a bounded :class:`RingTracer`, so the spans a
-    keyed operation opens below the ``service:<VERB>`` root all land in
-    the same per-shard ring.  Representatives keep their construction-
+    wave opens below its ``service:`` root all land in the same
+    per-shard ring.  Representatives keep their construction-
     time null tracer — their work happens on the transport's loop
     thread, where spans could never nest under the shard-thread root.
     """
@@ -147,67 +152,54 @@ class _ShardTelemetry:
         # unlike the suite op counters, which all shards share.
         self.failed = cluster.metrics.counter("live.ops.failed")
 
-    def run(self, verb: str, key: str, trace: Any, fn: Any, *args: Any) -> Any:
-        """Execute one keyed operation on this shard, fully instrumented."""
-        self._directory.note_routed(self.index)
-        span = self.tracer.span(f"service:{verb}", key=key, shard=self.index)
+    def run(self, wave: "list[_WaveItem]") -> "list[BatchOutcome]":
+        """Execute one drained wave on this shard, fully instrumented.
+
+        One root span covers the wave: ``service:<VERB>`` carrying the
+        op's key for a one-op wave, ``service:BATCH`` for a larger one,
+        with the suite's ``op:`` trees nested beneath it.  Routed
+        counts, hot-key offers and failure counts stay per op, so
+        ``STATS`` numbers are exact under batching.
+        """
+        ops = [item.op for item in wave]
+        self._directory.note_routed(self.index, len(ops))
+        if len(wave) == 1:
+            verb, key, trace = wave[0].verb, ops[0].key, wave[0].trace
+            span = self.tracer.span(
+                f"service:{verb}", key=key, shard=self.index
+            )
+        else:
+            stamped = [item.trace for item in wave if item.trace is not None]
+            verb, key = "BATCH", f"[{len(ops)} ops]"
+            trace = stamped[-1] if stamped else None
+            span = self.tracer.span(
+                "service:BATCH", size=len(ops), shard=self.index
+            )
         if trace is not None:
             span.attrs["trace"] = trace
-        try:
-            with span:
-                return fn(self.cluster.suite, *args)
-        finally:
-            # The ``with`` block sealed the span (end timestamp and
-            # status) before this runs, success or failure.
-            self.latency.observe(span.duration)
-            self.hot_keys.offer(key)
-            if span.status != "ok":
-                self.failed.inc()
-            self.slow.record(
-                span, verb=verb, key=key, shard=self.index, trace=trace
-            )
-            self._recorded.inc()
-
-    def run_batch(
-        self, ops: "list[BatchOp]", traces: "list[Any]"
-    ) -> "list[Any]":
-        """Execute one batched wave segment, fully instrumented.
-
-        One ``service:BATCH`` root span covers the grouped transaction
-        (the suite's ``op:batch`` tree nests beneath it); per-op
-        bookkeeping — routed counts, hot-key offers, failure counts —
-        still happens per operation, so ``STATS`` numbers stay exact
-        under batching.
-        """
-        self._directory.note_routed(self.index, len(ops))
-        stamped = [t for t in traces if t is not None]
-        span = self.tracer.span(
-            "service:BATCH", size=len(ops), shard=self.index
-        )
-        if stamped:
-            span.attrs["trace"] = stamped[-1]
-        outcomes: "list[Any] | None" = None
+        outcomes: "list[BatchOutcome] | None" = None
         try:
             with span:
                 outcomes = self.cluster.suite.execute_batch(ops)
             return outcomes
         finally:
+            # The ``with`` block sealed the span (end timestamp and
+            # status) before this runs, success or failure.
             self.latency.observe(span.duration)
             for op in ops:
                 self.hot_keys.offer(op.key)
-            failures = (
-                len(ops)
-                if outcomes is None
-                else sum(1 for out in outcomes if out.error is not None)
-            )
+            if outcomes is None:
+                failures = len(ops)
+            else:
+                errors = [o.error for o in outcomes if o.error is not None]
+                failures = len(errors)
+                if errors and len(ops) == 1:
+                    # A one-op root carries its op's own status.
+                    span.status = type(errors[0]).__name__
             if failures:
                 self.failed.inc(failures)
             self.slow.record(
-                span,
-                verb="BATCH",
-                key=f"[{len(ops)} ops]",
-                shard=self.index,
-                trace=stamped[-1] if stamped else None,
+                span, verb=verb, key=key, shard=self.index, trace=trace
             )
             self._recorded.inc(len(ops))
 
@@ -217,27 +209,24 @@ class _WaveItem:
     """One queued shard operation awaiting its wave."""
 
     verb: str
-    key: str
+    op: BatchOp
     trace: Any
-    fn: Any
-    args: tuple
-    batch_kind: "str | None"
-    value: Any
     future: Future
 
 
 class _ShardBatcher:
-    """The batching queue in front of one shard's worker thread.
+    """The queue in front of one shard's worker thread.
 
-    Ops submitted while the worker is busy accumulate in ``_pending``
-    (loop thread, under a lock) and drain in waves of up to
-    ``batch_max`` on the shard executor.  Within a wave, consecutive
-    runs of batchable ops execute as one grouped quorum transaction via
-    :meth:`~repro.core.suite.DirectorySuite.execute_batch`; unbatchable
-    verbs (``DELETE``/``DEL``) and solitary batchable ops take the
-    classic single-op path.  Arrival order is preserved item by item —
-    a wave is the *same sequence* the unbatched executor would have
-    run, just paid for with shared quorum rounds.
+    Every keyed op reaches its shard through here.  Ops submitted while
+    the worker is busy accumulate in ``_pending`` (loop thread, under a
+    lock) and drain in waves of up to ``batch_max`` on the shard
+    executor; each wave goes whole to
+    :meth:`~repro.core.suite.DirectorySuite.execute_batch`, which runs
+    consecutive runs of groupable ops as one grouped quorum transaction
+    and everything else — ``DELETE``/``DEL``, solitary ops — through the
+    classic per-op path.  Arrival order is preserved item by item — a
+    wave is the *same sequence* one-op waves would have run, just paid
+    for with shared quorum rounds.
 
     The drain task re-submits itself between waves instead of looping,
     so admin work sharing the executor (``SIZE``, ``REJOIN``, a live
@@ -257,23 +246,14 @@ class _ShardBatcher:
         self._pending: "list[_WaveItem]" = []
         self._draining = False
 
-    def submit(
-        self,
-        verb: str,
-        key: str,
-        trace: Any,
-        fn: Any,
-        args: tuple,
-        batch_kind: "str | None",
-        value: Any,
-    ) -> "asyncio.Future":
+    def submit(self, verb: str, op: BatchOp, trace: Any) -> "asyncio.Future":
         """Enqueue one op (loop thread); returns an awaitable result.
 
         Synchronous up to the returned future, so pipelined frames
         enqueue in exactly the order their tasks were created — the
         per-connection FIFO the reply writer depends on.
         """
-        item = _WaveItem(verb, key, trace, fn, args, batch_kind, value, Future())
+        item = _WaveItem(verb, op, trace, Future())
         with self._lock:
             self._pending.append(item)
             start = not self._draining
@@ -308,64 +288,15 @@ class _ShardBatcher:
                 continue
 
     def _process(self, wave: "list[_WaveItem]") -> None:
-        i = 0
-        while i < len(wave):
-            if wave[i].batch_kind is None:
-                self._run_single(wave[i])
-                i += 1
-                continue
-            j = i
-            while j < len(wave) and wave[j].batch_kind is not None:
-                j += 1
-            if j - i == 1:
-                # A solitary batchable op takes the classic path, so an
-                # unpipelined client sees bit-identical behavior.
-                self._run_single(wave[i])
-            else:
-                self._run_batch(wave[i:j])
-            i = j
-
-    def _shard(self) -> tuple[Any, Any]:
-        """(suite, telemetry shard or None) for this index, looked up at
-        drain time so a post-split rebind is always current."""
-        suite = self.service.directory.clusters[self.index].suite
+        # The shard is looked up at drain time, so a post-split rebind
+        # is always current.
         telemetry = self.service.telemetry
         if telemetry is not None and self.index < len(telemetry.shards):
-            return suite, telemetry.shards[self.index]
-        return suite, None
-
-    def _run_single(self, item: _WaveItem) -> None:
-        suite, shard = self._shard()
-        try:
-            if shard is not None:
-                result = shard.run(
-                    item.verb, item.key, item.trace, item.fn, *item.args
-                )
-            else:
-                result = item.fn(suite, *item.args)
-        except BaseException as exc:
-            item.future.set_exception(exc)
+            outcomes = telemetry.shards[self.index].run(wave)
         else:
-            item.future.set_result(result)
-
-    def _run_batch(self, segment: "list[_WaveItem]") -> None:
-        suite, shard = self._shard()
-        ops = [
-            BatchOp(item.batch_kind, item.key, item.value)
-            for item in segment
-        ]
-        try:
-            if shard is not None:
-                outcomes = shard.run_batch(
-                    ops, [item.trace for item in segment]
-                )
-            else:
-                outcomes = suite.execute_batch(ops)
-        except BaseException as exc:
-            for item in segment:
-                item.future.set_exception(exc)
-            return
-        for item, outcome in zip(segment, outcomes):
+            suite = self.service.directory.clusters[self.index].suite
+            outcomes = suite.execute_batch([item.op for item in wave])
+        for item, outcome in zip(wave, outcomes):
             if outcome.error is not None:
                 item.future.set_exception(outcome.error)
             else:
@@ -504,6 +435,40 @@ class ServiceTelemetry:
         return self.metrics.snapshot()
 
 
+def _reply_ok(result: Any) -> bytes:
+    return protocol.encode_simple("OK")
+
+
+def _reply_lookup(result: Any) -> bytes:
+    present, value = result
+    return protocol.encode_array(
+        ["1" if present else "0", _text(value) if present else None]
+    )
+
+
+def _reply_get(result: Any) -> bytes:
+    present, value = result
+    return protocol.encode_bulk(_text(value) if present else None)
+
+
+def _reply_count(result: Any) -> bytes:
+    return protocol.encode_integer(result)
+
+
+#: The keyed verbs, each described once: usage line (which also fixes
+#: the arity), wave kind (:data:`repro.core.batch.OP_KINDS`), and reply
+#: encoder for the op's result.
+_VERBS: "dict[str, tuple[str, str, Callable[[Any], bytes]]]" = {
+    "LOOKUP": ("LOOKUP key", "lookup", _reply_lookup),
+    "INSERT": ("INSERT key value", "insert", _reply_ok),
+    "UPDATE": ("UPDATE key value", "update", _reply_ok),
+    "DELETE": ("DELETE key", "delete", _reply_ok),
+    "GET": ("GET key", "lookup", _reply_get),
+    "SET": ("SET key value", "upsert", _reply_ok),
+    "DEL": ("DEL key", "remove", _reply_count),
+}
+
+
 class DirectoryService:
     """Serve a :class:`ShardedDirectory` over one loopback socket."""
 
@@ -536,8 +501,9 @@ class DirectoryService:
             raise ValueError(f"batch_max must be >= 1: {batch_max}")
         if pipeline_depth < 1:
             raise ValueError(f"pipeline_depth must be >= 1: {pipeline_depth}")
-        self.batching = batching
-        self.batch_max = batch_max
+        # ``batching=False`` is another way to write ``batch_max=1``:
+        # one-op waves, each on the per-op path.
+        self.batch_max = batch_max if batching else 1
         self.pipeline_depth = pipeline_depth
         self._executors = [
             ThreadPoolExecutor(
@@ -678,17 +644,21 @@ class DirectoryService:
             self._failures.inc()
             return protocol.encode_error("ERR", "expected a command array")
         command, args = parts[0].upper(), parts[1:]
-        try:
-            handler = self._COMMANDS[command]
-        except KeyError:
+        keyed = command in self._KEYED
+        handler = self._COMMANDS.get(command)
+        if handler is None and not keyed:
             self._failures.inc()
             return protocol.encode_error("ERR", f"unknown command {command!r}")
         try:
-            if epoch is not None and command in self._KEYED and args:
-                # The client told us which map it routed with; refuse the
-                # op (cheaply, on the loop) if the key has since moved.
-                self.directory.require_epoch(args[0], epoch)
-            reply = await handler(self, args, trace)
+            if not keyed:
+                reply = await handler(self, args, trace)
+            else:
+                if epoch is not None and args:
+                    # The client told us which map it routed with; refuse
+                    # the op (cheaply, on the loop) if the key has since
+                    # moved.
+                    self.directory.require_epoch(args[0], epoch)
+                reply = await self._keyed(command, args, trace)
             if epoch is not None:
                 reply = protocol.stamp_epoch(reply, self.directory.epoch)
             return reply
@@ -734,139 +704,25 @@ class DirectoryService:
             if self.telemetry is not None:
                 self.telemetry.ensure_shard(i)
 
-    async def _on_shard(
-        self,
-        verb: str,
-        key: str,
-        trace: Any,
-        fn: Any,
-        *args: Any,
-        batch: "tuple[str, Any] | None" = None,
-    ) -> Any:
-        """Run ``fn(suite, *args)`` on the owning shard's worker thread.
-
-        With batching enabled the op goes through the shard's
-        :class:`_ShardBatcher` instead of straight onto the executor;
-        ``batch`` names the grouped-transaction kind (and write value)
-        for verbs :meth:`~repro.core.suite.DirectorySuite.execute_batch`
-        can coalesce, ``None`` for ones that must run solo.
-        """
+    async def _keyed(self, verb: str, args: list[str], trace: Any) -> bytes:
+        """Every keyed verb: one op onto its shard's wave queue."""
+        usage, kind, reply = _VERBS[verb]
+        _expect(args, usage.count(" "), usage)
+        key = args[0]
         index = self.directory.shard_for(key)
-        if index >= len(self._executors):
+        if index >= len(self._batchers):
             # The current epoch routes to a shard a live split just
             # added; adopt it before dispatching (post-cutover, so the
             # new cluster is no longer being written by the migration).
             self._sync_shards()
-        if self.batching:
-            kind, value = batch if batch is not None else (None, None)
-            return await self._batchers[index].submit(
-                verb, key, trace, fn, args, kind, value
-            )
-        loop = asyncio.get_running_loop()
-        if self.telemetry is not None:
-            shard = self.telemetry.shards[index]
-            return await loop.run_in_executor(
-                self._executors[index], shard.run, verb, key, trace, fn, *args
-            )
-        suite = self.directory.clusters[index].suite
-        return await loop.run_in_executor(
-            self._executors[index], fn, suite, *args
-        )
+        op = BatchOp(kind, key, args[1] if len(args) > 1 else None)
+        return reply(await self._batchers[index].submit(verb, op, trace))
 
     # -- command handlers ----------------------------------------------------
 
     async def _cmd_ping(self, args: list[str], trace: Any) -> bytes:
         _expect(args, 0, "PING")
         return protocol.encode_simple("PONG")
-
-    async def _cmd_lookup(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 1, "LOOKUP key")
-        key = args[0]
-        present, value = await self._on_shard(
-            "LOOKUP",
-            key,
-            trace,
-            lambda suite: suite.lookup(key),
-            batch=("lookup", None),
-        )
-        return protocol.encode_array(
-            ["1" if present else "0", _text(value) if present else None]
-        )
-
-    async def _cmd_insert(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 2, "INSERT key value")
-        key, value = args
-        await self._on_shard(
-            "INSERT",
-            key,
-            trace,
-            lambda suite: suite.insert(key, value),
-            batch=("insert", value),
-        )
-        return protocol.encode_simple("OK")
-
-    async def _cmd_update(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 2, "UPDATE key value")
-        key, value = args
-        await self._on_shard(
-            "UPDATE",
-            key,
-            trace,
-            lambda suite: suite.update(key, value),
-            batch=("update", value),
-        )
-        return protocol.encode_simple("OK")
-
-    async def _cmd_delete(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 1, "DELETE key")
-        key = args[0]
-        await self._on_shard(
-            "DELETE", key, trace, lambda suite: suite.delete(key)
-        )
-        return protocol.encode_simple("OK")
-
-    async def _cmd_get(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 1, "GET key")
-        key = args[0]
-        present, value = await self._on_shard(
-            "GET",
-            key,
-            trace,
-            lambda suite: suite.lookup(key),
-            batch=("lookup", None),
-        )
-        return protocol.encode_bulk(_text(value) if present else None)
-
-    async def _cmd_set(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 2, "SET key value")
-        key, value = args
-
-        def upsert(suite: Any) -> None:
-            # Race-free: this closure owns the shard's only worker thread.
-            try:
-                suite.insert(key, value)
-            except KeyAlreadyPresentError:
-                suite.update(key, value)
-
-        await self._on_shard(
-            "SET", key, trace, upsert, batch=("upsert", value)
-        )
-        return protocol.encode_simple("OK")
-
-    async def _cmd_del(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 1, "DEL key")
-        key = args[0]
-
-        def drop(suite: Any) -> int:
-            try:
-                suite.delete(key)
-            except KeyNotPresentError:
-                return 0
-            return 1
-
-        return protocol.encode_integer(
-            await self._on_shard("DEL", key, trace, drop)
-        )
 
     async def _cmd_size(self, args: list[str], trace: Any) -> bytes:
         _expect(args, 0, "SIZE")
@@ -1007,19 +863,10 @@ class DirectoryService:
 
     #: Commands whose first argument is a key — the ones an ``@epoch=``
     #: stamp gates through ``require_epoch``.
-    _KEYED = frozenset(
-        {"LOOKUP", "INSERT", "UPDATE", "DELETE", "GET", "SET", "DEL"}
-    )
+    _KEYED = frozenset(_VERBS)
 
     _COMMANDS = {
         "PING": _cmd_ping,
-        "LOOKUP": _cmd_lookup,
-        "INSERT": _cmd_insert,
-        "UPDATE": _cmd_update,
-        "DELETE": _cmd_delete,
-        "GET": _cmd_get,
-        "SET": _cmd_set,
-        "DEL": _cmd_del,
         "SIZE": _cmd_size,
         "SHARDS": _cmd_shards,
         "REJOIN": _cmd_rejoin,
@@ -1043,3 +890,4 @@ def _expect(args: list[str], n: int, usage: str) -> None:
 def _text(value: Any) -> str:
     """Stored values go back out as text (the front door stores strings)."""
     return value if isinstance(value, str) else repr(value)
+

@@ -33,11 +33,10 @@ unchanged on top of it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from repro.cluster import _SPEC_FIELDS, ClusterSpec, DirectoryCluster
+from repro.cluster import ClusterSpec, DirectoryCluster, reject_options
 from repro.core.errors import (
     ConfigurationError,
     ReproError,
@@ -187,40 +186,20 @@ class ShardedDirectory:
     ) -> "ShardedDirectory":
         """Build ``shards`` identical clusters on one shared network.
 
-        ``spec`` / ``options`` describe each shard exactly as
-        :meth:`DirectoryCluster.create` — a :class:`ClusterSpec` or the
-        keyword shim.  The spec is restamped per shard
-        (:meth:`ClusterSpec.for_shard`): node ids gain an ``s<i>:``
-        prefix, the quorum seed is offset per shard, and metrics land in
-        a ``shard<i>``-scoped view of the shared registry.
+        ``spec`` describes each shard exactly as
+        :meth:`DirectoryCluster.create` — a :class:`ClusterSpec`, or
+        shorthand for one; keyword options raise ``TypeError``.  The
+        spec is restamped per shard (:meth:`ClusterSpec.for_shard`):
+        node ids gain an ``s<i>:`` prefix, the quorum seed is offset per
+        shard, and metrics land in a ``shard<i>``-scoped view of the
+        shared registry.
 
         ``shard_map`` is ``"range"`` (uniform float split of ``[0, 1)``),
         ``"hash"``, or a :class:`ShardMap` instance; ``shards`` defaults
         to the instance's count, else 4.
         """
-        if isinstance(spec, ClusterSpec):
-            if options:
-                raise TypeError(
-                    "pass options inside the ClusterSpec, not as keywords: "
-                    f"{sorted(options)}"
-                )
-            base = spec
-        else:
-            unknown = set(options) - _SPEC_FIELDS
-            if unknown:
-                raise TypeError(
-                    f"unknown cluster option(s) {sorted(unknown)}; "
-                    f"valid: {sorted(_SPEC_FIELDS)}"
-                )
-            if options:
-                warnings.warn(
-                    f"{cls.__name__}.create(config, **options) is deprecated; "
-                    f"pass {cls.__name__}.create(ClusterSpec(config=..., "
-                    "...))",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            base = ClusterSpec(config=spec, **options)
+        reject_options(options)
+        base = spec if isinstance(spec, ClusterSpec) else ClusterSpec(config=spec)
         resolved_map = resolve_shard_map(shard_map, shards)
 
         transport = resolve_transport(

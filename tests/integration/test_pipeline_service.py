@@ -13,13 +13,19 @@ asyncio front door three ways:
   client and its blocking wrapper, per-slot results and errors;
 * a reshard cutover interleaved with a pipelined burst — the regression
   for the stale-epoch case: only the moved slots chase ``-MOVED``, and
-  the burst as a whole still succeeds.
+  the burst as a whole still succeeds;
+* the wave queue itself — a seeded replay against a batched service and
+  a ``batching=False`` control must leave identical state, and one op
+  that raises inside a wave fails only its own slot.
 """
 
 from __future__ import annotations
 
 import asyncio
+import random
 import socket
+import threading
+import time
 
 import pytest
 
@@ -248,3 +254,101 @@ class TestMovedMidBurst:
             assert read_frame_sync(reader) == "left"
         finally:
             sock.close()
+
+
+def _waves(directory):
+    """Grouped runs the directory's suites have executed."""
+    return sum(
+        row["n"]
+        for name, row in directory.transport.metrics.snapshot().items()
+        if name.endswith("suite.batch.size") and isinstance(row, dict)
+    )
+
+
+class TestWaveQueue:
+    def _replay(self, script, **options):
+        spec = ClusterSpec(
+            config="3-2-2", seed=7, transport="asyncio", fanout="parallel"
+        )
+        with ShardedDirectory.create(spec, shards=2, shard_map="hash") as d:
+            with DirectoryService(d, **options).start() as svc:
+                with DirectoryClient(svc.host, svc.port) as c:
+                    replies = []
+                    for start in range(0, len(script), 32):
+                        with c.pipeline() as pipe:
+                            handles = [
+                                getattr(pipe, verb)(*args)
+                                for verb, *args in script[start : start + 32]
+                            ]
+                        replies.extend(h.result() for h in handles)
+            return {
+                "replies": replies,
+                "state": d.authoritative_state(),
+                "violations": d.make_auditor().run().violations,
+                "waves": _waves(d),
+            }
+
+    def test_batched_equals_control(self):
+        """A seeded pipelined SET/GET/DEL replay leaves the same replies
+        and state at ``batch_max=128`` as on a ``batching=False``
+        control, both audit clean, and only the batched side groups."""
+        rng = random.Random(99)
+        script = []
+        for _ in range(400):
+            key = f"c{rng.randrange(40)}"
+            roll = rng.random()
+            if roll < 0.45:
+                script.append(("set", key, f"v{rng.randrange(1000)}"))
+            elif roll < 0.85:
+                script.append(("get", key))
+            else:
+                script.append(("remove", key))
+        batched = self._replay(script, batch_max=128)
+        control = self._replay(script, batching=False)
+        assert batched["replies"] == control["replies"]
+        assert batched["state"] == control["state"]
+        assert batched["violations"] == [] and control["violations"] == []
+        assert batched["waves"] > 0
+        assert control["waves"] == 0
+
+    def test_raising_op_fails_only_its_own_slot(self, service, monkeypatch):
+        """An op that raises a non-ReproError answers ``-ERR`` in its
+        own slot; its neighbours in the same wave — grouped runs on
+        either side of it — still succeed."""
+        suite = service.directory.clusters[0].suite
+        real_delete = suite.delete
+
+        def delete(key):
+            if key == "boom":
+                raise RuntimeError("injected")
+            return real_delete(key)
+
+        monkeypatch.setattr(suite, "delete", delete)
+        # Hold the shard's worker so the whole burst drains as one wave.
+        gate = threading.Event()
+        service._executors[0].submit(gate.wait)
+        waves = suite._batch_size.n
+        sock, reader = _connect(service)
+        sock.settimeout(30)
+        try:
+            sock.sendall(
+                encode_command("SET", "a", "1")
+                + encode_command("SET", "b", "2")
+                + encode_command("DEL", "boom")
+                + encode_command("GET", "a")
+                + encode_command("GET", "b")
+            )
+            deadline = time.monotonic() + 10
+            while len(service._batchers[0]._pending) < 5:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            gate.set()
+            replies = [read_frame_sync(reader) for _ in range(5)]
+        finally:
+            gate.set()
+            sock.close()
+        assert replies[:2] == ["OK", "OK"]
+        assert isinstance(replies[2], ReplyError)
+        assert replies[2].code == "ERR" and "RuntimeError" in str(replies[2])
+        assert replies[3:] == ["1", "2"]
+        assert suite._batch_size.n == waves + 2  # both runs grouped

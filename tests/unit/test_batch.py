@@ -141,9 +141,32 @@ class TestWaveSemantics:
             value = rng.randrange(100) if kind != "lookup" else None
             script.append(BatchOp(kind, key, value))
 
+        # A final wave mixes the never-grouped delete/remove with
+        # grouped runs and lone groupable ops, on keys the script never
+        # wrote (so its upsert is an insert, counted alike either way).
+        mixed = [
+            BatchOp("upsert", "x0", 1),
+            BatchOp("insert", "x1", 2),
+            BatchOp("delete", "x0"),
+            BatchOp("lookup", "x0"),
+            BatchOp("remove", "x1"),
+            BatchOp("remove", "x1"),
+            BatchOp("delete", "x1"),
+            BatchOp("insert", "x1", 3),
+            BatchOp("update", "x2", 4),
+            BatchOp("lookup", "x1"),
+            BatchOp("remove", "x2"),
+            BatchOp("upsert", "x3", 5),
+        ]
+        prefix = len(script)
+        script.extend(mixed)
+
         batched = []
-        for start in range(0, len(script), 8):
+        for start in range(0, prefix, 8):
             batched.extend(cluster.suite.execute_batch(script[start : start + 8]))
+        before = _counts(cluster.suite)
+        batched.extend(cluster.suite.execute_batch(mixed))
+        mixed_counts = _delta(_counts(cluster.suite), before)
 
         twin = DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=11))
         try:
@@ -151,8 +174,11 @@ class TestWaveSemantics:
                 # Reuse the engine's own fallback helper: it runs the
                 # plain public methods one op at a time.
                 _sequential(twin.suite, op)
-                for op in script
+                for op in script[:prefix]
             ]
+            before = _counts(twin.suite)
+            sequential.extend(_sequential(twin.suite, op) for op in mixed)
+            assert mixed_counts == _delta(_counts(twin.suite), before)
             assert (
                 cluster.suite.authoritative_state()
                 == twin.suite.authoritative_state()
@@ -171,7 +197,7 @@ class TestWaveSemantics:
 
     def test_unbatchable_kind_rejected(self, cluster):
         with pytest.raises(ValueError, match="unbatchable"):
-            cluster.suite.execute_batch([BatchOp("delete", "k")])
+            cluster.suite.execute_batch([BatchOp("rename", "k")])
 
     def test_op_counts_match_sequential_accounting(self, cluster):
         suite = cluster.suite
@@ -225,10 +251,13 @@ class TestFallbackAndMetrics:
     def test_wave_metrics(self, cluster):
         suite = cluster.suite
         waves, ops = suite._batch_size.n, suite._batch_ops.value
+        lookups = suite.op_counts.lookups
         suite.execute_batch([BatchOp("upsert", f"m{i}", i) for i in range(5)])
+        # A lone op takes the per-op path: no grouped run is counted.
         suite.execute_batch([BatchOp("lookup", "m0")])
-        assert suite._batch_size.n == waves + 2
-        assert suite._batch_ops.value == ops + 6
+        assert suite._batch_size.n == waves + 1
+        assert suite._batch_ops.value == ops + 5
+        assert suite.op_counts.lookups == lookups + 1
         snapshot = suite.metrics.snapshot()
         sizes = [
             row
@@ -253,6 +282,14 @@ def _sequential(suite, op):
             suite.insert(op.key, op.value)
         elif op.kind == "update":
             suite.update(op.key, op.value)
+        elif op.kind == "delete":
+            suite.delete(op.key)
+        elif op.kind == "remove":
+            try:
+                suite.delete(op.key)
+                outcome.value = 1
+            except KeyNotPresentError:
+                outcome.value = 0
         else:
             try:
                 suite.insert(op.key, op.value)
@@ -261,3 +298,12 @@ def _sequential(suite, op):
     except Exception as exc:  # noqa: BLE001 - mirrored into outcomes
         outcome.error = exc
     return outcome
+
+
+def _counts(suite):
+    c = suite.op_counts
+    return (c.lookups, c.inserts, c.updates, c.deletes, c.failed)
+
+
+def _delta(after, before):
+    return tuple(a - b for a, b in zip(after, before))

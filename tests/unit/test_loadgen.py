@@ -1,11 +1,10 @@
 """Unit tests for the load generator's redesigned configuration surface.
 
-:class:`LoadSpec` is the one value a load run needs; the loose-kwargs
-``run_load(host, port, ops=...)`` form survives as a deprecated shim.
-The socket-driving paths themselves are exercised end to end by the
-service integration tests and ``benchmarks/bench_service.py``; here we
-pin the pure parts — validation, open/closed mode selection, and the
-deprecation contract.
+:class:`LoadSpec` is the one value a load run needs; options passed
+beside it are refused.  The socket-driving paths themselves are
+exercised end to end by the service integration tests and
+``benchmarks/bench_service.py``; here we pin the pure parts —
+validation, open/closed mode selection, and the refusal contract.
 """
 
 from __future__ import annotations
@@ -75,14 +74,7 @@ class TestRunLoadSurface:
         with pytest.raises(TypeError, match="unknown load option"):
             run_load("127.0.0.1", 7379, opz=10)
 
-    def test_legacy_kwargs_warn_then_build_a_spec(self):
-        # Port 1 refuses connections immediately: the shim must have
-        # warned (and validated) before any socket work begins.
-        with pytest.warns(DeprecationWarning, match="LoadSpec"):
-            with pytest.raises(OSError):
-                run_load("127.0.0.1", 1, ops=1, connections=1)
-
-    def test_legacy_kwargs_validate_like_the_spec(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="pipeline"):
-                run_load("127.0.0.1", 1, pipeline=0)
+    def test_host_and_port_instead_of_a_spec_rejected(self):
+        # The retired kwargs form fails before any socket work begins.
+        with pytest.raises(TypeError, match="inside the LoadSpec"):
+            run_load("127.0.0.1", 1, ops=1, connections=1)

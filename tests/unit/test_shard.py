@@ -250,26 +250,10 @@ class TestResolveShardMap:
             resolve_shard_map("modulo", 4)
 
 
-# -- ClusterSpec and the keyword shim ------------------------------------------
+# -- ClusterSpec and keyword refusal -------------------------------------------
 
 
 class TestClusterSpec:
-    def test_kwargs_shim_equals_spec(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            a = DirectoryCluster.create("5-3-3", seed=11, store="btree")
-        b = DirectoryCluster.create(
-            ClusterSpec(config="5-3-3", seed=11, store="btree")
-        )
-        ops = [(0.1, "x"), (0.6, "y"), (0.3, "z")]
-        for key, value in ops:
-            a.suite.insert(key, value)
-            b.suite.insert(key, value)
-        assert (
-            a.suite.authoritative_state() == b.suite.authoritative_state()
-        )
-        assert a.network.stats.messages == b.network.stats.messages
-        assert a.network.clock.now() == b.network.clock.now()
-
     def test_spec_plus_keywords_rejected(self):
         with pytest.raises(TypeError, match="inside the ClusterSpec"):
             DirectoryCluster.create(ClusterSpec(), seed=1)
@@ -277,6 +261,10 @@ class TestClusterSpec:
     def test_unknown_option_rejected_with_valid_list(self):
         with pytest.raises(TypeError, match="store"):
             DirectoryCluster.create("3-2-2", stor="sorted")
+
+    def test_known_option_as_keyword_rejected(self):
+        with pytest.raises(TypeError, match="inside the ClusterSpec"):
+            DirectoryCluster.create("5-3-3", seed=11, store="btree")
 
     def test_network_and_latency_conflict(self):
         with pytest.raises(ConfigurationError):
