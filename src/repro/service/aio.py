@@ -2,47 +2,50 @@
 
 :class:`AsyncioTransport` implements the
 :class:`~repro.net.transport.Transport` protocol over real sockets and
-real time.  One event loop runs in a dedicated background thread; every
-*node* is an asyncio server bound to an ephemeral loopback port, hosting
-its services exactly as a simulated :class:`~repro.net.node.Node` does.
-Suite front-ends (which are synchronous) run in ordinary threads and
-marshal each RPC into the loop with ``run_coroutine_threadsafe``; the
-remote method executes *in the loop thread*, which serializes every call
-landing on a node the way a one-thread-per-node server would — and is
-what makes representative state thread-safe without locks.
+real time.  One event loop runs in a background thread; every *node* is
+an asyncio server on an ephemeral loopback port, hosting its services as
+a simulated :class:`~repro.net.node.Node` does.  Suite front-ends run in
+ordinary threads and hand each call, or each whole scatter, to the loop
+in one ``run_coroutine_threadsafe``.  Remote methods execute *in the
+loop thread*, which serializes every call landing on a node and makes
+representative state thread-safe without locks.
 
-The fault surface maps onto the existing hierarchy:
+One link per node: the loop opens one connection to each node as soon
+as its server listens, reopens it lazily only if it is lost, and
+multiplexes every call to the node onto it; there is no pool.  Both
+ends are :class:`asyncio.Protocol` objects parsing a byte buffer in
+``data_received``; the node end dispatches each request synchronously
+and writes the replies of one read in one ``write``.
 
-* target node crashed (or never registered) →
-  :class:`~repro.core.errors.NodeDownError` — a crashed node's server
-  answers ``-NODEDOWN`` but performs nothing, and a vanished connection
-  counts the same;
-* origin node crashed → :class:`~repro.core.errors.OriginDownError`;
-* no reply within ``rpc_timeout`` wall seconds →
-  :class:`~repro.core.errors.RpcTimeoutError` — like its simulated twin
-  this is *ambiguous*: the request may or may not have executed, so
-  scatter replies conservatively mark ``effect_applied`` and 2PC reaches
-  the node to resolve it;
-* application exceptions ride the ``-APPERR`` reply back, re-raised as
-  their original class (:mod:`repro.service.wire`).
+Frames: a 9-byte :data:`HEADER` (body length, request id, kind), then
+the body.  A ``CALL`` body is ``service NUL method NUL payload``, the
+payload one JSON document of the encoded ``[args, kwargs]``
+(:mod:`repro.service.wire`).  A reply echoes the request id with kind
+``OK`` (the encoded result), ``NODEDOWN`` or ``APPERR`` (the encoded
+exception, re-raised as its own class).  A length above
+:data:`~repro.service.protocol.MAX_FRAME` closes the link.
 
-Wire format, per call: a RESP array ``[service, method, payload]`` where
-``payload`` is one JSON document holding the encoded ``(args, kwargs)``;
-the reply is a bulk string holding the encoded result, or an error
-frame.  Connections are pooled per target node and reused; a per-node
-semaphore (``channels_per_node``, default 8) caps how many are open at
-once, so a wide grouped scatter multiplexes onto the pooled channels
-instead of opening one socket per in-flight call.
+Faults: a crashed or unknown target raises
+:class:`~repro.core.errors.NodeDownError` (a crashed node's server
+answers ``NODEDOWN`` and runs nothing), and so does every call pending
+on a lost link; a crashed origin raises
+:class:`~repro.core.errors.OriginDownError`.  A call unanswered within
+``rpc_timeout`` wall seconds fails from a ``call_later`` timer on its
+future with :class:`~repro.core.errors.RpcTimeoutError`; the link stays
+open and a late reply is dropped by request id.  As in the simulator
+the outcome is *ambiguous* (the request may have run), so scatter
+replies mark ``effect_applied`` and 2PC reaches the node to resolve it.
 
-Time: :class:`WallClock` counts *seconds* since the transport started.
-``advance(delta)`` cannot push real time, so it sleeps ``delta *
-tick_seconds`` (default 1 ms per simulated tick) — retry backoff written
-against the simulated clock stays a real, bounded backoff here.
+Time: :class:`WallClock` counts seconds since the transport started;
+``advance(delta)`` sleeps ``delta * tick_seconds`` (default 1 ms per
+simulated tick), so backoff written for the simulator stays a real,
+bounded backoff here.
 """
 
 from __future__ import annotations
 
 import asyncio
+import struct
 import threading
 import time
 from typing import Any
@@ -58,6 +61,14 @@ from repro.net.rpc import RpcBatch, RpcCall, RpcReply
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_SPAN, NULL_TRACER
 from repro.service import protocol, wire
+
+#: Frame header: body length, request id, kind.
+HEADER = struct.Struct("!IIB")
+CALL, OK, NODEDOWN, APPERR = range(4)
+
+
+def _frame(rid: int, kind: int, body: bytes) -> bytes:
+    return HEADER.pack(len(body), rid, kind) + body
 
 
 class WallClock:
@@ -93,22 +104,114 @@ class WallClock:
 
 
 class _AioNode:
-    """One node: an asyncio server plus its hosted services."""
+    """One node: an asyncio server, its hosted services, and its link."""
 
-    def __init__(self, node_id: str, channels: int) -> None:
+    def __init__(self, node_id: str) -> None:
         self.node_id = node_id
         self.services: dict[str, Any] = {}
         self.up = True
         self.server: asyncio.AbstractServer | None = None
         self.port: int | None = None
-        #: Idle pooled client connections to this node.
-        self.pool: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        #: Caps concurrent outbound RPCs — a grouped scatter of K calls
-        #: multiplexes onto at most ``channels`` pooled connections
-        #: instead of opening K sockets at once.
-        self.gate = asyncio.Semaphore(channels)
-        #: Server-side writers of live inbound connections (for shutdown).
-        self.links: set[asyncio.StreamWriter] = set()
+        #: The loop's one client connection to this node, and the
+        #: reconnect in progress that concurrent callers share.
+        self.link: _Link | None = None
+        self.opening: asyncio.Task | None = None
+        #: Transports of both ends of every live connection (for shutdown).
+        self.transports: set[asyncio.BaseTransport] = set()
+
+    def dispatch(self, rid: int, body: bytearray) -> bytes:
+        """Execute one request frame; returns the framed reply.
+
+        Runs in the loop thread, one frame at a time, which serializes
+        all mutation of this node's services.
+        """
+        if not self.up:
+            return _frame(rid, NODEDOWN, self.node_id.encode())
+        try:
+            service_name, method, payload = body.split(b"\0", 2)
+            service = self.services[service_name.decode()]
+            args, kwargs = wire.load(payload.decode())
+            result = getattr(service, method.decode())(
+                *[wire.decode_value(a) for a in args],
+                **{k: wire.decode_value(v) for k, v in kwargs.items()},
+            )
+        except Exception as exc:  # application error: rides the reply back
+            error = wire.dump(wire.encode_error(exc))
+            return _frame(rid, APPERR, error.encode())
+        return _frame(rid, OK, wire.dump(wire.encode_value(result)).encode())
+
+
+class _Link(asyncio.Protocol):
+    """Either end of a connection to a node: ``CALL`` frames are answered
+    by the node, any other frame is a reply matched to its caller's
+    future by request id."""
+
+    def __init__(self, node: _AioNode, loop: asyncio.AbstractEventLoop) -> None:
+        self.node = node
+        self.loop = loop
+        self.pending: dict[int, asyncio.Future] = {}
+        self._last_id = 0
+        self._buffer = bytearray()
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.node.transports.add(transport)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        buffer += data
+        offset, end, head = 0, len(buffer), HEADER.size
+        replies = []
+        while end - offset >= head:
+            size, rid, kind = HEADER.unpack_from(buffer, offset)
+            if size > protocol.MAX_FRAME:
+                # A corrupt or hostile header: drop the link rather than
+                # buffer towards it.
+                self.transport.close()
+                break
+            start = offset + head
+            if start + size > end:
+                break
+            body = buffer[start:start + size]
+            offset = start + size
+            if kind == CALL:
+                replies.append(self.node.dispatch(rid, body))
+                continue
+            future = self.pending.pop(rid, None)
+            if future is not None and not future.done():
+                future.set_result((kind, body))
+        del buffer[:offset]
+        if replies:
+            self.transport.write(b"".join(replies))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.node.transports.discard(self.transport)
+        for future in self.pending.values():
+            if not future.done():
+                future.set_exception(NodeDownError(self.node.node_id))
+
+    async def call(
+        self, request: bytes, budget: float, label: str
+    ) -> tuple[int, bytearray]:
+        """Send one request; the reply's ``(kind, body)``."""
+        if self.transport.is_closing():
+            raise NodeDownError(self.node.node_id)
+        self._last_id = rid = (self._last_id + 1) & 0xFFFFFFFF
+        future = self.loop.create_future()
+        self.pending[rid] = future
+        self.transport.write(_frame(rid, CALL, request))
+        timer = self.loop.call_later(budget, self._expire, rid, label)
+        try:
+            return await future
+        finally:
+            timer.cancel()
+            self.pending.pop(rid, None)
+
+    def _expire(self, rid: int, label: str) -> None:
+        # The id leaves ``pending``, so a late reply is dropped on arrival.
+        future = self.pending.pop(rid, None)
+        if future is not None and not future.done():
+            future.set_exception(RpcTimeoutError(self.node.node_id, method=label))
 
 
 class AsyncioTransport:
@@ -121,17 +224,11 @@ class AsyncioTransport:
         host: str = "127.0.0.1",
         rpc_timeout: float = 10.0,
         tick_seconds: float = 0.001,
-        channels_per_node: int = 8,
     ) -> None:
-        if channels_per_node < 1:
-            raise ValueError(
-                f"channels_per_node must be >= 1: {channels_per_node}"
-            )
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = WallClock(tick_seconds)
         self.host_addr = host
         self.rpc_timeout = rpc_timeout
-        self.channels_per_node = channels_per_node
         self._nodes: dict[str, _AioNode] = {}
         self._closed = False
         self._lock = threading.Lock()
@@ -174,7 +271,7 @@ class AsyncioTransport:
         with self._lock:
             if node_id in self._nodes or self._closed:
                 return
-            node = _AioNode(node_id, self.channels_per_node)
+            node = _AioNode(node_id)
             self._nodes[node_id] = node
         self.submit(self._start_server(node))
 
@@ -244,23 +341,17 @@ class AsyncioTransport:
 
     async def _shutdown(self) -> None:
         for node in self._nodes.values():
-            for reader, writer in node.pool:
-                writer.close()
-            node.pool.clear()
             if node.server is not None:
                 node.server.close()
+            for transport in list(node.transports):
+                transport.close()
+        for node in self._nodes.values():
+            if node.server is not None:
                 await node.server.wait_closed()
-            # Closing the inbound writers feeds EOF to their handlers,
-            # which exit on their own — cancelling them instead trips
-            # the 3.11 streams done-callback on cancelled tasks.
-            for writer in list(node.links):
-                writer.close()
         current = asyncio.current_task()
         stragglers = [t for t in asyncio.all_tasks() if t is not current]
         if stragglers:
             await asyncio.wait(stragglers, timeout=5)
-
-    # -- server side ---------------------------------------------------------
 
     def _node(self, node_id: str) -> _AioNode:
         try:
@@ -269,85 +360,30 @@ class AsyncioTransport:
             raise KeyError(f"unknown node {node_id!r}") from None
 
     async def _start_server(self, node: _AioNode) -> None:
-        server = await asyncio.start_server(
-            lambda r, w: self._serve_connection(node, r, w),
-            host=self.host_addr,
-            port=0,
+        server = await self._loop.create_server(
+            lambda: _Link(node, self._loop), host=self.host_addr, port=0
         )
         node.server = server
         node.port = server.sockets[0].getsockname()[1]
-
-    async def _serve_connection(
-        self,
-        node: _AioNode,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        node.links.add(writer)
-        try:
-            while True:
-                try:
-                    frame = await protocol.read_frame(reader)
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    return
-                writer.write(self._dispatch(node, frame))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            node.links.discard(writer)
-            writer.close()
-
-    def _dispatch(self, node: _AioNode, frame: Any) -> bytes:
-        """Execute one RPC frame against a node; returns the reply bytes.
-
-        Runs in the loop thread — one frame at a time per connection, and
-        interleaved frame-at-a-time across connections, which serializes
-        all mutation of this node's services.
-        """
-        if (
-            not isinstance(frame, list)
-            or len(frame) != 3
-            or not all(isinstance(p, str) for p in frame)
-        ):
-            return protocol.encode_error("ERR", "malformed rpc frame")
-        if not node.up:
-            return protocol.encode_error("NODEDOWN", node.node_id)
-        service_name, method, payload = frame
-        try:
-            service = node.services[service_name]
-            args, kwargs = wire.load(payload)
-            bound = getattr(service, method)
-            result = bound(
-                *[wire.decode_value(a) for a in args],
-                **{k: wire.decode_value(v) for k, v in kwargs.items()},
-            )
-        except Exception as exc:  # application error: rides the reply back
-            return protocol.encode_error(
-                "APPERR", wire.dump(wire.encode_error(exc))
-            )
-        return protocol.encode_bulk(wire.dump(wire.encode_value(result)))
+        await self._open(node)
 
     # -- client side ---------------------------------------------------------
 
-    async def _acquire(
-        self, node: _AioNode
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        while node.pool:
-            reader, writer = node.pool.pop()
-            if not writer.is_closing():
-                return reader, writer
-        if node.port is None:
-            raise NodeDownError(node.node_id)
-        return await asyncio.open_connection(self.host_addr, node.port)
-
-    def _release(
-        self,
-        node: _AioNode,
-        conn: tuple[asyncio.StreamReader, asyncio.StreamWriter],
-    ) -> None:
-        if not conn[1].is_closing():
-            node.pool.append(conn)
+    async def _open(self, node: _AioNode) -> _Link:
+        """(Re)open the node's link; concurrent callers share one attempt."""
+        if node.opening is None:
+            node.opening = self._loop.create_task(
+                self._loop.create_connection(
+                    lambda: _Link(node, self._loop), self.host_addr, node.port
+                )
+            )
+        try:
+            _, node.link = await node.opening
+        except OSError:
+            raise NodeDownError(node.node_id) from None
+        finally:
+            node.opening = None
+        return node.link
 
     async def call_async(
         self,
@@ -358,60 +394,33 @@ class AsyncioTransport:
         kwargs: dict,
         timeout: float | None = None,
     ) -> Any:
-        """One RPC over the socket; raises the mapped error hierarchy."""
+        """One RPC over the node's link; raises the mapped error hierarchy."""
         node = self._nodes.get(node_id)
         if node is None or not node.up:
             raise NodeDownError(node_id)
-        payload = wire.dump(
-            [
-                [wire.encode_value(a) for a in args],
-                {k: wire.encode_value(v) for k, v in kwargs.items()},
-            ]
-        )
-        request = protocol.encode_command(service_name, method, payload)
+        payload = wire.dump([
+            [wire.encode_value(a) for a in args],
+            {k: wire.encode_value(v) for k, v in kwargs.items()},
+        ])
+        request = f"{service_name}\0{method}\0{payload}".encode()
         budget = self.rpc_timeout if timeout is None else timeout
         started = time.perf_counter()
         self._calls.inc()
         try:
-            conn = None
-            # The per-node gate multiplexes wide scatters onto a bounded
-            # channel pool instead of one socket per in-flight call.
-            async with node.gate:
-                try:
-                    conn = await self._acquire(node)
-                    reader, writer = conn
-                    writer.write(request)
-                    await writer.drain()
-                    reply = await asyncio.wait_for(
-                        protocol.read_frame(reader), timeout=budget
-                    )
-                except asyncio.TimeoutError:
-                    if conn is not None:
-                        conn[1].close()
-                        conn = None
-                    raise RpcTimeoutError(
-                        node_id, method=f"{service_name}.{method}"
-                    ) from None
-                except (ConnectionError, OSError, asyncio.IncompleteReadError):
-                    if conn is not None:
-                        conn[1].close()
-                        conn = None
-                    raise NodeDownError(node_id) from None
-                finally:
-                    if conn is not None:
-                        self._release(node, conn)
+            link = node.link
+            if link is None or link.transport.is_closing():
+                link = await self._open(node)
+            kind, body = await link.call(request, budget, f"{service_name}.{method}")
         except NetworkError:
             self._errors.inc()
             raise
         finally:
             self._latency.observe(time.perf_counter() - started)
-        if isinstance(reply, protocol.ReplyError):
-            if reply.code == "NODEDOWN":
-                raise NodeDownError(node_id)
-            if reply.code == "APPERR":
-                raise wire.decode_error(wire.load(reply.detail))
-            raise protocol.ProtocolError(str(reply))
-        return wire.decode_value(wire.load(reply))
+        if kind == OK:
+            return wire.decode_value(wire.load(body.decode()))
+        if kind == NODEDOWN:
+            raise NodeDownError(node_id)
+        raise wire.decode_error(wire.load(body.decode()))
 
 
 class AsyncioEndpoint:
@@ -419,8 +428,8 @@ class AsyncioEndpoint:
 
     Owned by one synchronous caller (a suite front-end or the 2PC
     coordinator); ``call`` blocks the calling thread on the loop-side
-    coroutine, ``scatter`` issues every member concurrently and blocks
-    until all have resolved.
+    coroutine, ``scatter`` hands every member to the loop at once and
+    blocks until all have resolved.
     """
 
     def __init__(
@@ -468,18 +477,12 @@ class AsyncioEndpoint:
                 return self._invoke(node_id, service_name, method, args, kwargs)
         return self._invoke(node_id, service_name, method, args, kwargs)
 
-    def _invoke(
-        self, node_id: str, service_name: str, method: str, args: tuple, kwargs: dict
-    ) -> Any:
-        future = asyncio.run_coroutine_threadsafe(
-            self.transport.call_async(
-                node_id, service_name, method, args, kwargs
-            ),
-            self.transport._loop,
-        )
-        # wait_for inside the coroutine bounds the call; the outer margin
-        # only guards against a wedged loop.
-        return future.result(timeout=self.transport.rpc_timeout + 30.0)
+    def _invoke(self, *request: Any) -> Any:
+        # The call's own timer bounds it; the outer margin only guards
+        # against a wedged loop.
+        return asyncio.run_coroutine_threadsafe(
+            self.transport.call_async(*request), self.transport._loop
+        ).result(timeout=self.transport.rpc_timeout + 30.0)
 
     def try_call(
         self,
@@ -502,31 +505,27 @@ class AsyncioEndpoint:
         clock = self.transport.clock
         started = clock.now()
         replies = [RpcReply(call) for call in calls]
-        futures = [
-            asyncio.run_coroutine_threadsafe(
-                self._member(reply, clock), self.transport._loop
-            )
-            for reply in replies
-        ]
-        for future in futures:
-            future.result(
-                timeout=(self.transport.rpc_timeout + 30.0)
-                * (1 + max((c.retries for c in calls), default=0))
-            )
+        asyncio.run_coroutine_threadsafe(
+            self._gather(replies, clock), self.transport._loop
+        ).result(
+            timeout=(self.transport.rpc_timeout + 30.0)
+            * (1 + max((c.retries for c in calls), default=0))
+        )
         return RpcBatch(clock, replies, NULL_SPAN, started)
 
+    async def _gather(self, replies: list[RpcReply], clock: WallClock) -> None:
+        """Every member's attempt chain, concurrently, on the loop."""
+        await asyncio.gather(*(self._member(reply, clock) for reply in replies))
+
     async def _member(self, reply: RpcReply, clock: WallClock) -> None:
-        """One scatter member's attempt chain, entirely on the loop."""
+        """One scatter member's attempt chain."""
         call = reply.call
         budget = call.retries
         while True:
             reply.attempts += 1
             try:
                 reply.value = await self.transport.call_async(
-                    call.node_id,
-                    call.service_name,
-                    call.method,
-                    call.args,
+                    call.node_id, call.service_name, call.method, call.args,
                     call.kwargs,
                 )
             except RpcTimeoutError as exc:

@@ -11,10 +11,11 @@ battle-tested for exactly this shape of workload:
 * ``:N\\r\\n`` — integer reply.
 
 Requests are always arrays of bulk strings (a command name plus its
-arguments); replies are any of the above.  The *internal* RPC surface
-(:mod:`repro.service.aio`) frames one JSON document per bulk string; the
-*front door* (:mod:`repro.service.server`) uses plain strings, so a
-session really does look like talking to a tiny redis.
+arguments); replies are any of the above.  The front door
+(:mod:`repro.service.server`) and its clients speak it with plain
+strings, so a session really does look like talking to a tiny redis.
+The internal RPC links (:mod:`repro.service.aio`) use their own binary
+frames and share only the :data:`MAX_FRAME` guard.
 
 Encoders return ``bytes`` to hand to a transport; decoders are asyncio
 coroutines over a :class:`asyncio.StreamReader` plus synchronous twins

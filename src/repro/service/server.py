@@ -3,9 +3,8 @@
 :class:`DirectoryService` attaches a single listening socket to the
 event loop of an :class:`~repro.service.aio.AsyncioTransport` that is
 already hosting a :class:`~repro.shard.sharded.ShardedDirectory`'s
-representatives.  Clients speak the same redis-like protocol as the
-internal RPC surface (:mod:`repro.service.protocol`), but with plain
-string commands::
+representatives.  Clients speak a small redis-like protocol
+(:mod:`repro.service.protocol`) with plain string commands::
 
     PING                     -> +PONG
     LOOKUP key               -> *2  ("1"/"0", value or null bulk)
@@ -594,6 +593,16 @@ class DirectoryService:
                 try:
                     frame = await protocol.read_frame(reader)
                 except (ConnectionError, asyncio.IncompleteReadError):
+                    break
+                except (protocol.ProtocolError, ValueError) as exc:
+                    # The stream is out of step and cannot be resynced:
+                    # answer after the replies already owed, then close.
+                    self._failures.inc()
+                    slot = asyncio.get_running_loop().create_future()
+                    slot.set_result(
+                        protocol.encode_error("ERR", f"protocol: {exc}")
+                    )
+                    await queue.put(slot)
                     break
                 await queue.put(asyncio.ensure_future(self._dispatch(frame)))
         finally:

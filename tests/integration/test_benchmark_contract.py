@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from repro.cli import build_parser
 from repro.cluster import ClusterSpec
+from repro.net.rpc import RpcCall
+from repro.service.aio import AsyncioTransport
 from repro.service.client import DirectoryClient
 from repro.service.server import DirectoryService
 from repro.shard.sharded import ShardedDirectory
@@ -42,6 +45,36 @@ def test_every_wrapped_entry_point_resolves():
                 assert callable(target), (layer, module_name, class_name, name)
     aio = importlib.import_module("repro.service.aio")
     assert callable(aio.AsyncioTransport.call_async)
+
+
+class _Echo:
+    def echo(self, value):
+        return value
+
+
+def test_every_scatter_member_goes_through_call_async(monkeypatch):
+    """``aio.rpc_ms_*`` samples ``call_async``: a channel that sent
+    scatter members around it would silently empty them."""
+    assert inspect.iscoroutinefunction(AsyncioTransport.call_async)
+    recorder = _layers().Recorder()
+    monkeypatch.setattr(
+        AsyncioTransport,
+        "call_async",
+        recorder.wrap_async(
+            AsyncioTransport.call_async, "aio.AsyncioTransport.call_async"
+        ),
+    )
+    transport = AsyncioTransport()
+    try:
+        for node in ("a", "b"):
+            transport.ensure_node(node)
+            transport.host(node, "echo", _Echo())
+        calls = [RpcCall("ab"[i % 2], "echo", "echo", (i,)) for i in range(24)]
+        batch = transport.endpoint("client").scatter(calls)
+        assert [reply.value for reply in batch.replies] == list(range(24))
+    finally:
+        transport.close()
+    assert len(recorder.samples["aio.AsyncioTransport.call_async"]) == 24
 
 
 def test_service_builds_as_the_launcher_builds_it():

@@ -97,6 +97,40 @@ class TestRawFraming:
         finally:
             sock.close()
 
+    @pytest.mark.parametrize(
+        "garbage, detail",
+        [
+            (b"PING\r\n", "unknown frame type"),
+            (b"$99999999999\r\n", "length out of range"),
+            (b"*x\r\n", "invalid literal"),
+        ],
+        ids=["unknown-type", "length-out-of-range", "non-integer-length"],
+    )
+    def test_malformed_frame_answers_err_then_closes(
+        self, service, garbage, detail
+    ):
+        """A frame the parser rejects is answered ``-ERR protocol: ...``
+        after the replies already owed, counted as a front-door error,
+        and the connection closes; the server keeps serving."""
+        errors = service.transport.metrics.counter("service.front.errors")
+        before = errors.value
+        sock, reader = _connect(service)
+        try:
+            sock.sendall(encode_command("SET", "g1", "ok") + garbage)
+            assert read_frame_sync(reader) == "OK"
+            reply = read_frame_sync(reader)
+            assert isinstance(reply, ReplyError)
+            assert reply.code == "ERR"
+            assert reply.detail.startswith("protocol: ")
+            assert detail in reply.detail
+            with pytest.raises(ConnectionError):
+                read_frame_sync(reader)
+        finally:
+            sock.close()
+        assert errors.value == before + 1
+        with DirectoryClient(service.host, service.port) as c:
+            assert c.get("g1") == "ok"
+
     def test_interleaved_trace_and_epoch_metadata(self, service):
         """Per-request ``@trace=`` / ``@epoch=`` stamps must not shift
         positional reply alignment: only the requests that stamped an
